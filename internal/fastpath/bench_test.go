@@ -6,12 +6,16 @@
 package fastpath_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fastpath"
+	"repro/internal/ip"
 	"repro/internal/lookup"
+	"repro/internal/mem"
 	"repro/internal/synth"
+	"repro/internal/telemetry"
 )
 
 // benchPair builds the AT&T-1 → AT&T-2 hop at quarter scale with a warm
@@ -71,6 +75,58 @@ func BenchmarkFastpathBatch(b *testing.B) {
 		base := (i / batch * batch) % (len(p.dests) - batch)
 		snap.ProcessBatch(p.dests[base:base+batch], p.clues[base:base+batch], out, nil)
 	}
+}
+
+// coldFixture is BenchmarkFastpathBatchCold's table and traffic, built
+// once per process: the testing package calls a benchmark function
+// several times while it settles b.N, and this set-up takes seconds.
+var coldFixture struct {
+	once sync.Once
+	snap *fastpath.Snapshot
+	pair *pairFixture
+}
+
+// BenchmarkFastpathBatchCold is the memory-bound counterpart of
+// BenchmarkFastpathBatch: the benchmark's fwd-modern-cold table
+// (1M-prefix modern universe, Advance with Verify, compressed layout,
+// telemetry attached) driven with 2^18 uniform destinations, so every
+// packet's slot and sender-trie node miss the cache and what is measured
+// is how well a batch overlaps those misses. ns/op is per packet.
+// -short shrinks the table, not the destination set.
+func BenchmarkFastpathBatchCold(b *testing.B) {
+	f := &coldFixture
+	f.once.Do(func() {
+		prefixes := 1 << 20
+		if testing.Short() {
+			prefixes = 1 << 16
+		}
+		u := synth.NewModernUniverse(7, ip.IPv4, prefixes+prefixes/16+64)
+		p := &pairFixture{
+			sender:   u.Router("cold-sender", prefixes, 0.02),
+			receiver: u.Router("cold-receiver", prefixes, 0.02),
+		}
+		p.st, p.rt = p.sender.Trie(), p.receiver.Trie()
+		fillWorkload(p, 8, 1<<18)
+		tab := newTable(b, p, core.Advance, lookup.NewRegular(p.rt), true)
+		tab.SetTelemetry(telemetry.NewPacketMetrics(telemetry.NewRegistry(), "cold", core.OutcomeLabels()))
+		f.snap, f.pair = fastpath.CompileLayout(tab, fastpath.LayoutCompressed), p
+	})
+	snap, p := f.snap, f.pair
+	const batch = 64
+	out := make([]core.Result, batch)
+	var cnt mem.Counter
+	run := func(n int) {
+		for i := 0; i < n; i += batch {
+			base := i % (len(p.dests) - batch)
+			snap.ProcessBatch(p.dests[base:base+batch], p.clues[base:base+batch], out, &cnt)
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { run(batch) }); a != 0 {
+		b.Fatalf("ProcessBatch allocates %v times per batch, want 0", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
 }
 
 // BenchmarkFastpathConcurrent compares the two concurrency designs under

@@ -148,20 +148,17 @@ func (ct *ctrie) val(i uint32) int32 {
 	return ct.dict[ct.values[i]]
 }
 
-// valRoot returns the value of the node's root vertex (bit 63 set).
-func (ct *ctrie) valRoot(n *cnode) int32 { return ct.val(n.valueBase) }
-
-// valLo returns the value of the internal mark at marksLo bit hb.
-func (ct *ctrie) valLo(n *cnode, hb uint) int32 {
-	r := uint32(n.marksLo>>63) + uint32(bits.OnesCount64(n.marksLo&cHeapMask&(uint64(1)<<hb-1)))
-	return ct.val(n.valueBase + r)
+// rankLo is the position in n's value run of the internal mark at
+// marksLo bit hb.
+func rankLo(n *cnode, hb uint) int {
+	return int(n.marksLo>>63) + bits.OnesCount64(n.marksLo&cHeapMask&(uint64(1)<<hb-1))
 }
 
-// valHi returns the value of the boundary mark below chunk value c.
-func (ct *ctrie) valHi(n *cnode, c uint32) int32 {
-	r := uint32(n.marksLo>>63) + uint32(bits.OnesCount64(n.marksLo&cHeapMask)) +
-		uint32(bits.OnesCount64(n.marksHi&(uint64(1)<<c-1)))
-	return ct.val(n.valueBase + r)
+// rankHi is the position in n's value run of the boundary mark below
+// chunk value c.
+func rankHi(n *cnode, c uint32) int {
+	return int(n.marksLo>>63) + bits.OnesCount64(n.marksLo&cHeapMask) +
+		bits.OnesCount64(n.marksHi&(uint64(1)<<c-1))
 }
 
 // child returns the node index of the child below chunk value c; the
@@ -221,12 +218,12 @@ func deepestVertexOnPath(n *cnode, c uint32, span int) int {
 }
 
 // deepestLoMark returns the deepest internal mark along path c at
-// relative depths [minRel, maxRel] of node n, with its value.
-func (ct *ctrie) deepestLoMark(n *cnode, c uint32, span, minRel, maxRel int) (int, int32, bool) {
+// relative depths [minRel, maxRel] of node n, with its marksLo bit.
+func deepestLoMark(n *cnode, c uint32, span, minRel, maxRel int) (int, uint, bool) {
 	for j := maxRel; j >= minRel; j-- {
 		hb := heapBit(j, c>>(span-j))
 		if n.marksLo&(uint64(1)<<hb) != 0 {
-			return j, ct.valLo(n, hb), true
+			return j, hb, true
 		}
 	}
 	return 0, 0, false
@@ -401,90 +398,129 @@ func (ct *ctrie) markedOf(h int32, p ip.Prefix) bool {
 	return n.marksLo&(uint64(1)<<heapBit(rel, extract(hi, lo, p.Len()-rel, rel))) != 0
 }
 
+// cwalk is one walk down a ctrie, held as data so that a batch can keep
+// many of them in flight (Snapshot.ProcessBatch): fetch copies the node
+// at next into nd — the walk's only read of trie memory, and the one a
+// batch issues for every live walk before it lets any of them compute —
+// and step consumes nd without touching memory again. lookupFrom is the
+// same two calls in a loop.
+type cwalk struct {
+	nd       cnode  // the fetched node, consumed by the next step
+	next     *cnode // node to fetch before the next step
+	D        int32  // depth of next's root vertex
+	frontier int32  // deepest vertex charged so far
+	minRel   int32  // shallowest relative depth in next whose mark counts; 6 names a leaf-pushed boundary start
+	best     int32  // longest match so far, −1 when none
+	bestAt   uint32 // index of best's value cell, decoded by val once the walk is over
+	refs     int32  // references charged so far
+}
+
+// start points w at the vertex named by handle (a find result ≥ 0, so
+// the trie is not empty; d0 is that vertex's depth) and charges the
+// start vertex, like flatTrie's first iteration. It reads no node.
+func (ct *ctrie) start(w *cwalk, handle uint32, d0 int) {
+	rel0 := d0 % 6
+	if handle&cBoundary != 0 {
+		// The vertex exists only as a marksHi bit of its parent node,
+		// six levels up.
+		handle &^= cBoundary
+		rel0 = 6
+	}
+	w.next = ct.node(handle)
+	w.D = int32(d0 - rel0)
+	w.frontier = int32(d0)
+	w.minRel = int32(rel0)
+	w.best = -1
+	w.refs = 1
+}
+
+// fetch loads the node the next step consumes.
+func (w *cwalk) fetch() { w.nd = *w.next }
+
+// step advances w through the fetched node along dest's path (hi, lo):
+// it keeps the deepest mark the node holds on the path, charges one
+// reference per binary vertex the path crosses — e−d0+1 in total for
+// termination depth e, matching trie.LookupFrom and flatTrie.lookupFrom
+// reference for reference — and either names the child to fetch next or
+// reports the walk over (true). Values are not decoded here: bestAt
+// remembers the cell, so a walk reads one value at most, and a Verify
+// walk, which only wants the depth, reads none.
+func (ct *ctrie) step(w *cwalk, hi, lo uint64) bool {
+	n := &w.nd
+	D := int(w.D)
+	minRel := int(w.minRel)
+	if minRel == 6 {
+		// Leaf-pushed boundary vertex: marked and childless, so the
+		// walk starts and terminates on it.
+		if c := extract(hi, lo, D, 6); n.marksHi&(uint64(1)<<c) != 0 {
+			w.best, w.bestAt = int32(D+6), n.valueBase+uint32(rankHi(n, c))
+		}
+		return true
+	}
+	span := ct.width - D
+	if span > 6 {
+		span = 6
+	}
+	c := extract(hi, lo, D, span)
+	// The deepest mark on the path inside this node: the boundary
+	// vertex, else an internal vertex, else (only where the walk starts
+	// on it) the node's own root.
+	top := span
+	if top > 5 {
+		top = 5
+	}
+	from := minRel // internal marks start at relative depth 1
+	if from == 0 {
+		from = 1
+	}
+	if span == 6 && n.marksHi&(uint64(1)<<c) != 0 {
+		w.best, w.bestAt = int32(D+6), n.valueBase+uint32(rankHi(n, c))
+	} else if j, hb, ok := deepestLoMark(n, c, span, from, top); ok {
+		w.best, w.bestAt = int32(D+j), n.valueBase+uint32(rankLo(n, hb))
+	} else if minRel == 0 && n.marksLo&cRootMark != 0 {
+		w.best, w.bestAt = int32(D), n.valueBase
+	}
+	if span == 6 && n.subs&(uint64(1)<<c) != 0 {
+		// The whole chunk exists on the path: charge through the
+		// boundary and descend. The child's root is that boundary
+		// vertex, already collected above, so its marks count from
+		// relative depth 1.
+		w.refs += int32(D+6) - w.frontier
+		w.frontier = int32(D + 6)
+		w.next = ct.node(n.child(c))
+		w.D = int32(D + 6)
+		w.minRel = 1
+		return false
+	}
+	// Terminal node: the walk dies inside this span.
+	w.refs += int32(D+deepestVertexOnPath(n, c, span)) - w.frontier
+	return true
+}
+
 // lookupFrom walks dest's path from the vertex named by handle (a find
 // result ≥ 0; depth d0 = that vertex's depth) to the deepest existing
 // vertex, returning the longest-match depth, its value, and whether any
 // mark at depth ≥ d0 lies on the path. Charges exactly one counter
-// reference per binary vertex on the walk — e−d0+1 for termination
-// depth e — matching trie.LookupFrom and flatTrie.lookupFrom
-// reference-for-reference. Charges are posted as the walk's frontier
-// advances, before the node reads they account for.
+// reference per binary vertex on the walk (see step). An empty ctrie
+// reports no match at zero charge.
 func (ct *ctrie) lookupFrom(handle uint32, d0 int, dest ip.Addr, cnt *mem.Counter) (int32, int32, bool) {
 	if ct.n == 0 {
 		return 0, 0, false
 	}
-	cnt.Add(1) // the start vertex, like flatTrie's first iteration
-	pages := ct.pages
+	var w cwalk
+	ct.start(&w, handle, d0)
 	hi, lo := dest.Halves()
-	if handle&cBoundary != 0 {
-		// Leaf-pushed boundary vertex: marked and childless, so the
-		// walk starts and terminates on it.
-		h := handle &^ cBoundary
-		n := &pages[h>>cpageShift][h&cpageMask]
-		c := extract(hi, lo, d0-6, 6)
-		if n.marksHi&(uint64(1)<<c) != 0 {
-			return int32(d0), ct.valHi(n, c), true
-		}
-		return 0, 0, false
-	}
-	ni := handle
-	D := d0 - d0%6 // depth of the current node's root vertex
-	rel0 := d0 - D
-	best, bestVal := int32(-1), int32(0)
-	n := &pages[ni>>cpageShift][ni&cpageMask]
-	if rel0 == 0 {
-		if n.marksLo&cRootMark != 0 {
-			best, bestVal = int32(d0), ct.valRoot(n)
-		}
-	} else {
-		hb := heapBit(rel0, extract(hi, lo, D, rel0))
-		if n.marksLo&(uint64(1)<<hb) != 0 {
-			best, bestVal = int32(d0), ct.valLo(n, hb)
-		}
-	}
-	minRel := rel0 + 1 // marks shallower than the start vertex don't count
-	frontier := d0     // deepest vertex charged so far
 	for {
-		span := ct.width - D
-		if span > 6 {
-			span = 6
+		w.fetch()
+		if ct.step(&w, hi, lo) {
+			break
 		}
-		c := extract(hi, lo, D, span)
-		if span == 6 && n.subs&(uint64(1)<<c) != 0 {
-			// The whole chunk exists on the path: collect the deepest
-			// mark in this node, charge through the boundary, descend.
-			if n.marksHi&(uint64(1)<<c) != 0 {
-				best, bestVal = int32(D+6), ct.valHi(n, c)
-			} else if j, v, ok := ct.deepestLoMark(n, c, span, minRel, 5); ok {
-				best, bestVal = int32(D+j), v
-			}
-			cnt.Add(D + 6 - frontier)
-			frontier = D + 6
-			ni = n.child(c)
-			n = &pages[ni>>cpageShift][ni&cpageMask]
-			D += 6
-			minRel = 1
-			continue
-		}
-		// Terminal node: the walk dies inside this span.
-		if span == 6 && n.marksHi&(uint64(1)<<c) != 0 {
-			best, bestVal = int32(D+6), ct.valHi(n, c)
-		} else {
-			top := span
-			if top > 5 {
-				top = 5
-			}
-			if j, v, ok := ct.deepestLoMark(n, c, span, minRel, top); ok {
-				best, bestVal = int32(D+j), v
-			}
-		}
-		cnt.Add(D + deepestVertexOnPath(n, c, span) - frontier)
-		break
 	}
-	if best < 0 {
+	cnt.Add(int(w.refs))
+	if w.best < 0 {
 		return 0, 0, false
 	}
-	return best, bestVal, true
+	return w.best, ct.val(w.bestAt), true
 }
 
 // memBytes returns the node-page and value/dictionary footprints. Pages

@@ -119,19 +119,6 @@ func runLen(n *cnode) int {
 	return int(n.marksLo>>63) + bits.OnesCount64(n.marksLo&cHeapMask) + bits.OnesCount64(n.marksHi)
 }
 
-// rankLo is the run rank of the internal mark at marksLo bit hb
-// (mirrors valLo's arithmetic).
-func rankLo(n *cnode, hb uint) int {
-	return int(n.marksLo>>63) + bits.OnesCount64(n.marksLo&cHeapMask&(uint64(1)<<hb-1))
-}
-
-// rankHi is the run rank of the boundary mark below chunk value c
-// (mirrors valHi's arithmetic).
-func rankHi(n *cnode, c uint32) int {
-	return int(n.marksLo>>63) + bits.OnesCount64(n.marksLo&cHeapMask) +
-		bits.OnesCount64(n.marksHi&(uint64(1)<<c-1))
-}
-
 // splice rewrites m's value run as old[:rank] + (v when ins) +
 // old[rank+drop:], appending the new run at the values tail and
 // abandoning the old one. oldLen and rank are computed against the run

@@ -488,40 +488,6 @@ func TestDifferentialMutate(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesProcess pins ProcessBatch to per-packet Process: same
-// results in order, aggregate counter equal to the per-packet sum, and
-// the short-slice truncation contract.
-func TestBatchMatchesProcess(t *testing.T) {
-	p := v4Pair(t, 500)
-	p.perturb(3)
-	tab := newTable(t, p, core.Advance, lookup.NewRegular(p.rt), false)
-	snap := fastpath.Compile(tab)
-	out := make([]core.Result, len(p.dests))
-	var batchCnt mem.Counter
-	n := snap.ProcessBatch(p.dests, p.clues, out, &batchCnt)
-	if n != len(p.dests) {
-		t.Fatalf("ProcessBatch processed %d of %d", n, len(p.dests))
-	}
-	sum := 0
-	for i := range p.dests {
-		var c mem.Counter
-		want := snap.Process(p.dests[i], p.clues[i], &c)
-		sum += c.Count()
-		if out[i] != want {
-			t.Fatalf("packet %d: batch %+v, single %+v", i, out[i], want)
-		}
-	}
-	if batchCnt.Count() != sum {
-		t.Fatalf("batch charged %d refs, per-packet sum %d", batchCnt.Count(), sum)
-	}
-	if got := snap.ProcessBatch(p.dests, p.clues[:7], out, nil); got != 7 {
-		t.Fatalf("short clueLens: processed %d, want 7", got)
-	}
-	if got := snap.ProcessBatch(p.dests, p.clues, out[:3], nil); got != 3 {
-		t.Fatalf("short out: processed %d, want 3", got)
-	}
-}
-
 // TestNilCounter pins the mem.Counter contract: nil is valid and free on
 // every fastpath entry point, like everywhere else in the repo.
 func TestNilCounter(t *testing.T) {

@@ -14,7 +14,12 @@
 // Two slots fill one 64-byte cache line, the software analogue of the
 // paper's §3.5 "two clue records per SDRAM line" packing; the Advance
 // method's common case (a final entry, 95–99.5% of clues per §6) is one
-// hash probe and zero pointer dereferences.
+// hash probe and zero pointer dereferences. On a table too big for the
+// cache that probe is a miss, so ProcessBatch (batch.go) computes the
+// slot address of every packet in a lane group before it reads any of
+// them: the probes of a batch are independent loads and their misses
+// overlap. The walks that follow a probe on a compressed snapshot
+// advance the same way, one node per pass across the group.
 //
 // Restricted searches and full lookups come in two flavors:
 //
@@ -36,6 +41,8 @@
 package fastpath
 
 import (
+	"unsafe"
+
 	"repro/internal/core"
 	"repro/internal/ip"
 	"repro/internal/lookup"
@@ -124,11 +131,30 @@ func (lt *lenTable) at(i uint32) *slot {
 	return &lt.pages[i>>spageShift][i&spageMask]
 }
 
+// home returns the first slot index of key (kh, kl)'s probe chain. The
+// row must not be empty.
+func (lt *lenTable) home(kh, kl uint64) uint32 {
+	return uint32(hashKey(kh, kl)) & uint32(lt.size-1)
+}
+
+// find walks the probe chain from index i and returns the slot holding
+// key (kh, kl), or the free slot that ends the chain. It is the packet
+// path's probe and small enough to inline there.
+func (lt *lenTable) find(i uint32, kh, kl uint64) *slot {
+	for {
+		sl := lt.at(i)
+		if sl.flags&slotUsed == 0 || (sl.keyHi == kh && sl.keyLo == kl) {
+			return sl
+		}
+		i = (i + 1) & uint32(lt.size-1)
+	}
+}
+
 // locate probes for key (kh, kl) and returns the index of its slot —
 // the matching used slot, or the first free slot of its chain.
 func (lt *lenTable) locate(kh, kl uint64) uint32 {
 	mask := uint32(lt.size - 1)
-	i := uint32(hashKey(kh, kl)) & mask
+	i := lt.home(kh, kl)
 	for {
 		sl := lt.at(i)
 		if sl.flags&slotUsed == 0 || (sl.keyHi == kh && sl.keyLo == kl) {
@@ -151,7 +177,7 @@ func (lt *lenTable) probe(kh, kl uint64) bool {
 	if lt.size == 0 {
 		return false
 	}
-	return lt.at(lt.locate(kh, kl)).flags&slotUsed != 0
+	return lt.find(lt.home(kh, kl), kh, kl).flags&slotUsed != 0
 }
 
 // maskHi/maskLo clear every destination bit past a clue length, turning
@@ -173,6 +199,13 @@ func init() {
 			maskLo[l] = ^uint64(0) << (128 - uint(l))
 		}
 	}
+}
+
+// clueKey returns the first clueLen bits of dest, the key of its clue in
+// row clueLen. The caller has range-checked clueLen.
+func clueKey(dest ip.Addr, clueLen int) (kh, kl uint64) {
+	hi, lo := dest.Halves()
+	return hi & maskHi[uint8(clueLen)], lo & maskLo[uint8(clueLen)]
 }
 
 // hashKey mixes the two key words (murmur3 finalizer over a golden-ratio
@@ -411,9 +444,9 @@ type MemStats struct {
 	SenderNodes     int
 }
 
-// TrieIndexBytes is the trie-side footprint — the quantity the
-// bytes/prefix acceptance gate measures (slot tables excluded, since
-// they scale with learned clues rather than routes).
+// TrieIndexBytes is the trie-side footprint: node pages, value arrays
+// and dictionary, slot tables excluded. The benchmark reports it as
+// fastpath.trie_index_bytes; the gated bytes_per_prefix is TotalBytes.
 func (m MemStats) TrieIndexBytes() int {
 	return m.LocalTrieBytes + m.SenderTrieBytes + m.DictBytes
 }
@@ -429,7 +462,7 @@ func (m MemStats) TotalBytes() int {
 func (s *Snapshot) MemStats() MemStats {
 	m := MemStats{Compressed: s.compressed, Entries: s.entries}
 	for _, lt := range s.lens {
-		m.SlotBytes += lt.size*32 + len(lt.pages)*8 // slots plus the page table
+		m.SlotBytes += lt.size*int(unsafe.Sizeof(slot{})) + len(lt.pages)*8 // slots plus the page table
 	}
 	m.ResumeBytes = len(s.resumes) * 16 // two words per lookup.Resume interface
 	if s.compressed {
@@ -467,42 +500,21 @@ func (s *Snapshot) Process(dest ip.Addr, clueLen int, cnt *mem.Counter) core.Res
 		return s.fullLookup(dest, cnt, core.OutcomeBadClue, before)
 	}
 	cnt.Add(1) // the clue-table reference
-	hi, lo := dest.Halves()
-	kh := hi & maskHi[uint8(clueLen)]
-	kl := lo & maskLo[uint8(clueLen)]
+	kh, kl := clueKey(dest, clueLen)
 	lt := &s.lens[clueLen]
 	if lt.size == 0 {
 		return s.fullLookup(dest, cnt, core.OutcomeMiss, before)
 	}
-	mask := uint32(lt.size - 1)
-	i := uint32(hashKey(kh, kl)) & mask
-	var sl *slot
-	if flat := lt.flat; flat != nil {
-		for {
-			sl = &flat[i]
-			if sl.flags&slotUsed == 0 || (sl.keyHi == kh && sl.keyLo == kl) {
-				break
-			}
-			i = (i + 1) & mask
-		}
-	} else {
-		for {
-			sl = &lt.pages[i>>spageShift][i&spageMask]
-			if sl.flags&slotUsed == 0 || (sl.keyHi == kh && sl.keyLo == kl) {
-				break
-			}
-			i = (i + 1) & mask
-		}
-	}
+	sl := lt.find(lt.home(kh, kl), kh, kl)
 	if sl.flags&slotUsed == 0 {
 		return s.fullLookup(dest, cnt, core.OutcomeMiss, before)
 	}
 	// Claim-1 common case (95–99.5% of clues, §6): valid, final,
-	// no verification — resolved here without the apply call.
-	if sl.flags&(slotValid|slotFinal) == slotValid|slotFinal && !s.verify {
-		if s.tel != nil {
-			s.tel.Record(int(core.OutcomeFD), uint64(cnt.Count()-before))
-		}
+	// no verification — resolved here without the apply call, and with
+	// the result built in place: returned through fd it is copied
+	// through the stack once more, which this path can measure.
+	if s.claim1(sl) {
+		s.record(core.OutcomeFD, cnt, before)
 		if sl.fdLen < 0 {
 			return core.Result{Outcome: core.OutcomeFD}
 		}
@@ -511,36 +523,34 @@ func (s *Snapshot) Process(dest ip.Addr, clueLen int, cnt *mem.Counter) core.Res
 	return s.apply(sl, dest, clueLen, cnt, before)
 }
 
+// record posts a finished packet to the attached telemetry, if any: its
+// outcome and the references charged to cnt since before.
+func (s *Snapshot) record(o core.Outcome, cnt *mem.Counter, before int) {
+	if s.tel != nil {
+		s.tel.Record(int(o), uint64(cnt.Count()-before))
+	}
+}
+
+// claim1 reports whether sl alone decides the packet: a valid, final
+// entry on a table that does not verify clues.
+func (s *Snapshot) claim1(sl *slot) bool {
+	return sl.flags&(slotValid|slotFinal) == slotValid|slotFinal && !s.verify
+}
+
+// fd is the slot's inlined FD field as a result with outcome o.
+func (sl *slot) fd(dest ip.Addr, o core.Outcome) core.Result {
+	if sl.fdLen < 0 {
+		return core.Result{Outcome: o}
+	}
+	return core.Result{Prefix: ip.PrefixFrom(dest, int(sl.fdLen)), Value: int(sl.value), OK: true, Outcome: o}
+}
+
 // ProcessNoClue routes a clue-less packet (legacy upstream, §5.3): a full
 // lookup, charged to the engine's model.
 //
 //cluevet:hotpath
 func (s *Snapshot) ProcessNoClue(dest ip.Addr, cnt *mem.Counter) core.Result {
 	return s.fullLookup(dest, cnt, core.OutcomeNoClue, cnt.Count())
-}
-
-// ProcessBatch routes up to len(out) packets into the caller-owned out
-// buffer, amortizing bounds checks across the batch; it returns the
-// number processed (the shortest of the three slices). Aggregate
-// references land on cnt; per-packet accounting callers use Process.
-//
-//cluevet:hotpath
-func (s *Snapshot) ProcessBatch(dests []ip.Addr, clueLens []int, out []core.Result, cnt *mem.Counter) int {
-	n := len(dests)
-	if len(clueLens) < n {
-		n = len(clueLens)
-	}
-	if len(out) < n {
-		n = len(out)
-	}
-	dests = dests[:n]
-	clueLens = clueLens[:n]
-	out = out[:n]
-	for i, d := range dests {
-		out[i] = s.Process(d, clueLens[i], cnt)
-	}
-	s.tel.ObserveBatch(uint64(n))
-	return n
 }
 
 // apply resolves a found slot: validity, sender verification, then the
@@ -555,9 +565,7 @@ func (s *Snapshot) apply(sl *slot, dest ip.Addr, clueLen int, cnt *mem.Counter, 
 		return s.fullLookup(dest, cnt, core.OutcomeSuspect, before)
 	}
 	r := s.applyEntry(sl, dest, clueLen, cnt)
-	if s.tel != nil {
-		s.tel.Record(int(r.Outcome), uint64(cnt.Count()-before))
-	}
+	s.record(r.Outcome, cnt, before)
 	return r
 }
 
@@ -567,10 +575,7 @@ func (s *Snapshot) apply(sl *slot, dest ip.Addr, clueLen int, cnt *mem.Counter, 
 //cluevet:hotpath
 func (s *Snapshot) applyEntry(sl *slot, dest ip.Addr, clueLen int, cnt *mem.Counter) core.Result {
 	if sl.flags&slotFinal != 0 {
-		if sl.fdLen < 0 {
-			return core.Result{Outcome: core.OutcomeFD}
-		}
-		return core.Result{Prefix: ip.PrefixFrom(dest, int(sl.fdLen)), Value: int(sl.value), OK: true, Outcome: core.OutcomeFD}
+		return sl.fd(dest, core.OutcomeFD)
 	}
 	if s.flat {
 		var l, v int32
@@ -580,16 +585,22 @@ func (s *Snapshot) applyEntry(sl *slot, dest ip.Addr, clueLen int, cnt *mem.Coun
 		} else {
 			l, v, ok = s.local.lookupFrom(uint32(sl.resume), clueLen, dest, cnt)
 		}
-		if ok {
-			return core.Result{Prefix: ip.PrefixFrom(dest, int(l)), Value: int(v), OK: true, Outcome: core.OutcomeResumeHit}
-		}
-	} else if p, v, ok := s.resumes[sl.resume].Lookup(dest, cnt); ok {
+		return sl.searched(dest, l, v, ok)
+	}
+	if p, v, ok := s.resumes[sl.resume].Lookup(dest, cnt); ok {
 		return core.Result{Prefix: p, Value: v, OK: true, Outcome: core.OutcomeResumeHit}
 	}
-	if sl.fdLen < 0 {
-		return core.Result{Outcome: core.OutcomeResumeFD}
+	return sl.fd(dest, core.OutcomeResumeFD)
+}
+
+// searched is the result of a restricted search on a compiled trie that
+// matched a prefix of length l with value v (ok), or fell through to the
+// slot's FD.
+func (sl *slot) searched(dest ip.Addr, l, v int32, ok bool) core.Result {
+	if ok {
+		return core.Result{Prefix: ip.PrefixFrom(dest, int(l)), Value: int(v), OK: true, Outcome: core.OutcomeResumeHit}
 	}
-	return core.Result{Prefix: ip.PrefixFrom(dest, int(sl.fdLen)), Value: int(sl.value), OK: true, Outcome: core.OutcomeResumeFD}
+	return sl.fd(dest, core.OutcomeResumeFD)
 }
 
 // refuted mirrors core's sender verification: a clue that is not a marked
@@ -639,9 +650,7 @@ func (s *Snapshot) fullLookup(dest ip.Addr, cnt *mem.Counter, o core.Outcome, be
 		p, v, ok := s.engine.Lookup(dest, cnt)
 		r = core.Result{Prefix: p, Value: v, OK: ok, Outcome: o}
 	}
-	if s.tel != nil {
-		s.tel.Record(int(o), uint64(cnt.Count()-before))
-	}
+	s.record(o, cnt, before)
 	return r
 }
 

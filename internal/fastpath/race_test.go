@@ -1,11 +1,14 @@
 // Snapshot-swap stress: wait-free readers hammering Process/ProcessBatch
 // while a writer learns, invalidates, revalidates, applies route batches
 // and recompiles — on both trie layouts, so the compressed subtree
-// patches (ISSUE 10) publish under the same race as the flat row edits.
-// Run under -race in CI; without the detector it still checks the
-// structural invariant that every published snapshot is internally
-// consistent (a matching prefix always contains the destination,
-// outcomes stay in range).
+// patches (ISSUE 10) publish under the same race as the flat row edits,
+// and on a compressed Verify table, where a batch is a staged walk that
+// holds slot and node pointers across passes and so must stay inside the
+// one snapshot it loaded. Run under -race in CI; without the detector it
+// still checks that every batch equals the per-packet loop on the same
+// snapshot, and the structural invariant that every published snapshot
+// is internally consistent (a matching prefix always contains the
+// destination, outcomes stay in range).
 package fastpath_test
 
 import (
@@ -24,23 +27,29 @@ func TestSnapshotSwapStress(t *testing.T) {
 		name       string
 		layout     fastpath.Layout
 		compressed bool
+		verify     bool
 	}{
-		{"Flat", fastpath.LayoutFlat, false},
-		{"Compressed", fastpath.LayoutCompressed, true},
+		{"Flat", fastpath.LayoutFlat, false, false},
+		{"Compressed", fastpath.LayoutCompressed, true, false},
+		{"CompressedVerify", fastpath.LayoutCompressed, true, true},
 	} {
 		t.Run(lo.name, func(t *testing.T) {
-			runSnapshotSwapStress(t, lo.layout, lo.compressed)
+			runSnapshotSwapStress(t, lo.layout, lo.compressed, lo.verify)
 		})
 	}
 }
 
-func runSnapshotSwapStress(t *testing.T, layout fastpath.Layout, compressed bool) {
+func runSnapshotSwapStress(t *testing.T, layout fastpath.Layout, compressed, verify bool) {
 	p := v4Pair(t, 2048)
 	p.perturb(13)
-	live := core.MustNewTable(core.Config{
+	cfg := core.Config{
 		Method: core.Advance, Engine: lookup.NewRegular(p.rt),
 		Local: p.rt, Sender: p.st.Contains, Learn: true,
-	})
+	}
+	if verify {
+		cfg.Verify, cfg.SenderTrie = true, p.st
+	}
+	live := core.MustNewTable(cfg)
 	live.Preprocess(p.sender.Prefixes()[:p.sender.Len()/2]) // leave room to learn
 	rcu := fastpath.NewRCULayout(live, layout)
 	if rcu.Snapshot().Compressed() != compressed {
@@ -67,9 +76,15 @@ func runSnapshotSwapStress(t *testing.T, layout fastpath.Layout, compressed bool
 			for i := r; !stop.Load(); i++ {
 				if i%3 == 0 {
 					base := (i * 64) % (len(p.dests) - 64)
-					n := rcu.ProcessBatch(p.dests[base:base+64], p.clues[base:base+64], out, nil)
+					snap := rcu.Snapshot()
+					n := snap.ProcessBatch(p.dests[base:base+64], p.clues[base:base+64], out, nil)
 					for j := 0; j < n; j++ {
-						check(p.dests[base+j], out[j])
+						d, c := p.dests[base+j], p.clues[base+j]
+						check(d, out[j])
+						if want := snap.Process(d, c, nil); out[j] != want {
+							t.Errorf("dest %v clue %d: batch %+v, Process on the same snapshot %+v", d, c, out[j], want)
+							stop.Store(true)
+						}
 					}
 					processed.Add(int64(n))
 				} else {
@@ -104,9 +119,20 @@ func runSnapshotSwapStress(t *testing.T, layout fastpath.Layout, compressed bool
 					{Kind: fastpath.OpAnnounce, Prefix: ip.PrefixFrom(p.dests[i%len(p.dests)], 26), Value: 9000 + i},
 				})
 			case 5:
-				rcu.Apply([]fastpath.RouteOp{
+				ops := []fastpath.RouteOp{
 					{Kind: fastpath.OpWithdraw, Prefix: ip.PrefixFrom(p.dests[(i*31)%len(p.dests)], 26)},
-				})
+				}
+				if verify {
+					// Sender-side churn patches the trie the Verify walks
+					// run on: a longer sender prefix appears under a
+					// destination's clue (refuting it), then goes away.
+					kind := fastpath.OpSenderAnnounce
+					if i%14 == 12 {
+						kind = fastpath.OpSenderWithdraw
+					}
+					ops = append(ops, fastpath.RouteOp{Kind: kind, Prefix: ip.PrefixFrom(p.dests[(i/14*17)%len(p.dests)], 27), Value: 7000 + i})
+				}
+				rcu.Apply(ops)
 			default:
 				rcu.Mutate(func(tab *core.Table) {
 					tab.UpdateLocal(c)
