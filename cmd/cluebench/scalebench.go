@@ -21,8 +21,11 @@ import (
 // scaleRecord is one cell of the modern-scale sweep written by
 // -scalebench: a prefix count × {flat, compressed} layout, measured on
 // modern-shaped tables (internal/synth ModernUniverse). The two numbers
-// the acceptance gates read are BytesPerPrefix (trie index only — slot
-// tables scale with learned clues, not routes) and NsPerOp.
+// the acceptance gates read are BytesPerPrefix — the trie index only,
+// per route of the two tries — and NsPerOp; TotalBytesPerPrefix beside
+// it is the whole snapshot, slot tables included, per clue entry: what
+// the router pays for each prefix its neighbour may send as a clue, and
+// the figure the repository benchmark gates as bytes_per_prefix.
 type scaleRecord struct {
 	Name     string `json:"name"`
 	Family   string `json:"family"`
@@ -39,6 +42,8 @@ type scaleRecord struct {
 	ResumeBytes    int     `json:"resume_bytes"`
 	TotalBytes     int     `json:"total_bytes"`
 
+	TotalBytesPerPrefix float64 `json:"total_bytes_per_prefix"`
+
 	BuildMs       float64 `json:"build_ms"`
 	NsPerOp       float64 `json:"ns_per_op"`
 	PacketsPerSec float64 `json:"packets_per_sec"`
@@ -47,6 +52,7 @@ type scaleRecord struct {
 
 func (r scaleRecord) sanitize() scaleRecord {
 	r.BytesPerPrefix = finite(r.BytesPerPrefix)
+	r.TotalBytesPerPrefix = finite(r.TotalBytesPerPrefix)
 	r.BuildMs = finite(r.BuildMs)
 	r.NsPerOp = finite(r.NsPerOp)
 	r.PacketsPerSec = finite(r.PacketsPerSec)
@@ -179,14 +185,16 @@ func scaleCells(family string, fam ip.Family, count int, seed int64) []scaleReco
 			ResumeBytes:    ms.ResumeBytes,
 			TotalBytes:     ms.TotalBytes(),
 
+			TotalBytesPerPrefix: float64(ms.TotalBytes()) / float64(ms.Entries),
+
 			BuildMs:       buildMs,
 			NsPerOp:       ns,
 			PacketsPerSec: 1e9 / ns,
 			RefsPerPacket: float64(refs.Count()) / float64(len(dests)),
 		}
 		out = append(out, rec)
-		fmt.Printf("%-24s %9d routes %9d nodes %7.2f B/prefix %9.0f ms build %8.1f ns/op %7.2f refs/pkt\n",
-			rec.Name, routes, ms.LocalNodes+ms.SenderNodes, rec.BytesPerPrefix,
+		fmt.Printf("%-24s %9d routes %9d nodes %7.2f B/route trie index %7.2f B/prefix in all %9.0f ms build %8.1f ns/op %7.2f refs/pkt\n",
+			rec.Name, routes, ms.LocalNodes+ms.SenderNodes, rec.BytesPerPrefix, rec.TotalBytesPerPrefix,
 			rec.BuildMs, rec.NsPerOp, rec.RefsPerPacket)
 	}
 	return out
@@ -213,8 +221,8 @@ func printScaleGates(records []scaleRecord) {
 	if largest == nil {
 		return
 	}
-	fmt.Printf("gate: compressed IPv4 trie index at %d prefixes = %.2f B/prefix (target <= 8)\n",
-		largest.Prefixes, largest.BytesPerPrefix)
+	fmt.Printf("gate: compressed IPv4 trie index at %d prefixes = %.2f B/route (target <= 8); whole snapshot %.2f B/prefix\n",
+		largest.Prefixes, largest.BytesPerPrefix, largest.TotalBytesPerPrefix)
 	if smallest != largest && smallest.NsPerOp > 0 {
 		fmt.Printf("gate: lookup %d -> %d prefixes = %.2fx ns/op (target <= 1.5x)\n",
 			smallest.Prefixes, largest.Prefixes, largest.NsPerOp/smallest.NsPerOp)

@@ -42,6 +42,9 @@ func TestRunScaleBenchSmall(t *testing.T) {
 		if r.TotalBytes != r.SlotBytes+r.TrieIndexBytes+r.ResumeBytes {
 			t.Errorf("%s: TotalBytes does not add up", r.Name)
 		}
+		if r.TotalBytesPerPrefix <= r.BytesPerPrefix {
+			t.Errorf("%s: whole snapshot %.2f B/prefix, trie index alone %.2f", r.Name, r.TotalBytesPerPrefix, r.BytesPerPrefix)
+		}
 	}
 	for _, fam := range []string{"IPv4", "IPv6"} {
 		flat, okF := byKey[fam+"/flat"]

@@ -657,6 +657,13 @@ func registerFastpathMetrics(reg *telemetry.Registry, router string, fp *fastpat
 	}{
 		{"clued_fastpath_slot_bytes", "fastpath snapshot clue slot-table bytes",
 			func(m fastpath.MemStats) uint64 { return uint64(m.SlotBytes) }},
+		{"clued_fastpath_slot_fill_permille", "fastpath snapshot clue slot-table fill: entries per 1000 allocated slots",
+			func(m fastpath.MemStats) uint64 {
+				if m.SlotCapacity == 0 {
+					return 0
+				}
+				return uint64(1000 * m.Entries / m.SlotCapacity)
+			}},
 		{"clued_fastpath_trie_index_bytes", "fastpath snapshot trie index bytes (tries + value dictionaries)",
 			func(m fastpath.MemStats) uint64 { return uint64(m.TrieIndexBytes()) }},
 		{"clued_fastpath_resume_bytes", "fastpath snapshot delegate resume-handle bytes",

@@ -192,7 +192,7 @@ func TestMetricsMatchFinalStats(t *testing.T) {
 	// lives in the delegate engine and the snapshot's own index gauge
 	// may legitimately read zero.)
 	for _, fam := range []string{
-		"clued_fastpath_slot_bytes", "clued_fastpath_trie_index_bytes",
+		"clued_fastpath_slot_bytes", "clued_fastpath_slot_fill_permille", "clued_fastpath_trie_index_bytes",
 		"clued_fastpath_resume_bytes", "clued_fastpath_compressed",
 	} {
 		vals := scrape(body, fam, "router")
@@ -206,6 +206,10 @@ func TestMetricsMatchFinalStats(t *testing.T) {
 			case "clued_fastpath_slot_bytes":
 				if rep.entries > 0 && v == 0 {
 					t.Errorf("router %s: %d entries but zero slot bytes", rep.name, rep.entries)
+				}
+			case "clued_fastpath_slot_fill_permille":
+				if (rep.entries > 0 && v == 0) || v >= 1000 {
+					t.Errorf("router %s: %d entries at slot fill %d‰", rep.name, rep.entries, v)
 				}
 			case "clued_fastpath_compressed":
 				if v != 0 {

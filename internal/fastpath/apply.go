@@ -24,7 +24,7 @@ import (
 // overflow the 16-bit next-hop dictionary (FallbacksDict) or touch a
 // table-rivaling share of packed nodes (FallbacksNodes), and
 // accumulated dead slots from relocations/prunes or abandoned delegate
-// resumes (Compactions).
+// resumes and handle pairs (Compactions).
 
 // RouteOpKind discriminates RouteOp.
 type RouteOpKind uint8
@@ -187,11 +187,12 @@ const (
 //
 // The second result requests compaction: dead slots from relocations
 // and prunes outnumber half the live vertices (node or value slots for
-// the compressed layout), or abandoned delegate resumes outnumber the
-// entries — time to fold the garbage away with a full recompile, off
-// the patch lock. A non-fbNone third result means the batch could not
-// be patched (the returned snapshot is nil and nothing published reads
-// the abandoned edits).
+// the compressed layout), abandoned delegate resumes outnumber the
+// entries, or abandoned handle pairs a quarter of them — time to fold
+// the garbage away with a full recompile, off the patch lock. A
+// non-fbNone third result means the batch could not be patched (the
+// returned snapshot is nil and nothing published reads the abandoned
+// edits).
 //
 //cluevet:ctor - builds the patched copy before publication
 func (s *Snapshot) applyOps(ops []RouteOp, exps []core.ExportedEntry, eng lookup.Engine, export func(ip.Prefix) (core.ExportedEntry, bool)) (*Snapshot, bool, applyFallback) {
@@ -279,6 +280,7 @@ func (s *Snapshot) applyOps(ops []RouteOp, exps []core.ExportedEntry, eng lookup
 			ns.reslot(e, ps)
 		}
 	}
+	compact = compact || 4*ns.pairsDead > ns.entries+256
 	return &ns, compact, fbNone
 }
 

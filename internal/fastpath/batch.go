@@ -23,10 +23,10 @@ const _ = uint(64 - batchLanes)
 
 // lane is one packet's place in the lockstep.
 type lane struct {
-	sl    *slot  // stage 0: first slot of the key's probe chain; after stage 1: the packet's slot
-	keyHi uint64 // sl.keyHi, as the stage-1 fetch read it
-	i     uint32 // sl's index in its row
-	pkt   uint8  // the packet's position in the group
+	sl  *slot  // stage 0: first cell of the key's home bucket; after stage 1: the packet's slot
+	key uint32 // the line's first word, as the stage-1 fetch read it: stored so the load is issued there, not read again
+	b   uint32 // the home bucket's index in its row
+	pkt uint8  // the packet's position in the group
 }
 
 // ProcessBatch routes up to len(out) packets into the caller-owned out
@@ -49,10 +49,13 @@ func (s *Snapshot) ProcessBatch(dests []ip.Addr, clueLens []int, out []core.Resu
 }
 
 // processLanes routes at most batchLanes packets in stages. Stage 0
-// computes every lane's first slot address; stage 1 reads the first key
-// word of each of those slots — independent loads, so their misses
-// overlap — and then finishes every packet the slot alone decides,
-// Claim-1 hits among them, exactly as Process does. Rare outcomes (bad
+// computes the address of every lane's home bucket (range check, mask,
+// one hash, one multiply onto the row, page-table load); stage 1 reads
+// the first word of each of those cache lines — independent loads, so
+// their misses overlap — then finds each packet's slot, scanning the
+// rest of the line (and for the few that overflowed, the next) in
+// place, and finishes every packet the slot alone decides, Claim-1 hits
+// among them, exactly as Process does. Rare outcomes (bad
 // clue length, empty row, miss, invalid or unmarked clue) finish on the
 // spot through the scalar code; only packets with a compressed-trie walk
 // ahead of them (staged) go on to walkLanes.
@@ -68,7 +71,7 @@ func (s *Snapshot) processLanes(lanes *[batchLanes]lane, dests []ip.Addr, clueLe
 			continue
 		}
 		lt := &s.lens[cl]
-		if lt.size == 0 {
+		if lt.nb == 0 {
 			before := cnt.Count()
 			cnt.Add(1) // the clue-table reference
 			out[k] = s.fullLookup(d, cnt, core.OutcomeMiss, before)
@@ -77,24 +80,20 @@ func (s *Snapshot) processLanes(lanes *[batchLanes]lane, dests []ip.Addr, clueLe
 		l := &lanes[n]
 		n++
 		l.pkt = uint8(k)
-		l.i = lt.home(clueKey(d, cl))
-		l.sl = lt.at(l.i)
+		l.b = lt.home(clueKey(d, cl))
+		l.sl = &lt.bucket(l.b).s[0]
 	}
 	for j := range lanes[:n] {
 		l := &lanes[j]
-		l.keyHi = l.sl.keyHi
+		l.key = l.sl.key
 	}
 	m := 0
 	for j := range lanes[:n] {
 		l := &lanes[j]
-		k, sl := l.pkt, l.sl
+		k := l.pkt
 		d, cl := dests[k], clueLens[k]
-		if kh, kl := clueKey(d, cl); sl.flags&slotUsed != 0 && (l.keyHi != kh || sl.keyLo != kl) {
-			// Collision: the rest of the chain, nearly always in the
-			// same or the next cache line, is walked in place.
-			lt := &s.lens[cl]
-			sl = lt.find((l.i+1)&uint32(lt.size-1), kh, kl)
-		}
+		kh, kl := clueKey(d, cl)
+		sl := s.lens[cl].find(l.b, kh, kl)
 		if s.staged(sl) {
 			lanes[m].sl, lanes[m].pkt = sl, k
 			m++
@@ -107,7 +106,7 @@ func (s *Snapshot) processLanes(lanes *[batchLanes]lane, dests []ip.Addr, clueLe
 			out[k] = s.fullLookup(d, cnt, core.OutcomeMiss, before)
 		case s.claim1(sl):
 			s.record(core.OutcomeFD, cnt, before)
-			if sl.fdLen < 0 { // built in place, like Process
+			if sl.fdLen == noFD { // built in place, like Process
 				out[k] = core.Result{Outcome: core.OutcomeFD}
 			} else {
 				out[k] = core.Result{Prefix: ip.PrefixFrom(d, int(sl.fdLen)), Value: int(sl.value), OK: true, Outcome: core.OutcomeFD}
@@ -160,9 +159,9 @@ func (s *Snapshot) walkLanes(lanes []lane, dests []ip.Addr, clueLens []int, out 
 		live[j] = uint8(j)
 		refs[j] = 1 // the clue-table reference
 		if l := &lanes[j]; s.verify {
-			s.csender.start(&ws[j], uint32(l.sl.sender), clueLens[l.pkt])
+			s.csender.start(&ws[j], uint32(s.senderAt(l.sl)), clueLens[l.pkt])
 		} else {
-			s.clocal.start(&ws[j], uint32(l.sl.resume), clueLens[l.pkt])
+			s.clocal.start(&ws[j], uint32(s.resumeAt(l.sl)), clueLens[l.pkt])
 			searching |= 1 << j
 		}
 	}
@@ -203,7 +202,7 @@ func (s *Snapshot) walkLanes(lanes []lane, dests []ip.Addr, clueLens []int, out 
 				s.record(r.Outcome, cnt, before)
 				out[k] = r
 			default:
-				s.clocal.start(w, uint32(sl.resume), cl)
+				s.clocal.start(w, uint32(s.resumeAt(sl)), cl)
 				searching |= 1 << j
 				live[m] = j
 				m++

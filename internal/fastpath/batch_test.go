@@ -135,6 +135,7 @@ func TestBatchMatchesProcess(t *testing.T) {
 						bs := fastpath.CompileLayout(tab, lo.layout)
 						tab.SetTelemetry(loopTel)
 						ls := fastpath.CompileLayout(tab, lo.layout)
+						requirePairs(t, bs, m.verify)
 
 						want := make([]core.Result, len(p.dests))
 						out := make([]core.Result, len(p.dests))
@@ -239,6 +240,7 @@ func FuzzBatchMatchesProcess(f *testing.F) {
 		fastpath.CompileLayout(verified, fastpath.LayoutCompressed),
 		fastpath.CompileLayout(newTable(f, p, core.Advance, lookup.NewRegular(p.rt), false), fastpath.LayoutFlat),
 	}
+	requirePairs(f, snaps[0], true)
 
 	// Seeds: the shapes of the matrix test — a bad clue on either side,
 	// the invalidated entry, a forged (shortened) clue, a repeated

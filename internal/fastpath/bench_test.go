@@ -6,6 +6,7 @@
 package fastpath_test
 
 import (
+	"sort"
 	"sync"
 	"testing"
 
@@ -20,7 +21,7 @@ import (
 
 // benchPair builds the AT&T-1 → AT&T-2 hop at quarter scale with a warm
 // all-hit workload, the same fixture shape the core benchmarks use.
-func benchPair(b *testing.B) *pairFixture {
+func benchPair(b testing.TB) *pairFixture {
 	b.Helper()
 	routers := synth.PaperRouters(1999, 0.25)
 	p := &pairFixture{sender: routers["AT&T-1"], receiver: routers["AT&T-2"]}
@@ -124,9 +125,20 @@ func BenchmarkFastpathBatchCold(b *testing.B) {
 	if a := testing.AllocsPerRun(10, func() { run(batch) }); a != 0 {
 		b.Fatalf("ProcessBatch allocates %v times per batch, want 0", a)
 	}
+	// The headline footprint rides on the fixture this benchmark already
+	// built, so the CI bench smoke guards it: 40 B/prefix is ISSUE 13's
+	// budget for the whole snapshot at 1M prefixes (EXPERIMENTS.md, "Slot
+	// diet"); the -short table's rows round up to whole pages.
+	ms := snap.MemStats()
+	perPrefix := float64(ms.TotalBytes()) / float64(ms.Entries)
+	if !testing.Short() && perPrefix > 40 {
+		b.Fatalf("snapshot is %.1f B/prefix (%d entries, slots %d B at fill %.2f), want <= 40",
+			perPrefix, ms.Entries, ms.SlotBytes, float64(ms.Entries)/float64(ms.SlotCapacity))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	run(b.N)
+	b.ReportMetric(perPrefix, "B/prefix")
 }
 
 // BenchmarkFastpathConcurrent compares the two concurrency designs under
@@ -161,10 +173,15 @@ func BenchmarkFastpathConcurrent(b *testing.B) {
 }
 
 // TestFastpathSpeedup is the executable form of the ≥5× acceptance
-// criterion: it measures core vs fastpath with testing.Benchmark and
-// fails below 5×. Skipped in -short runs (timing on loaded CI workers is
-// noisy; the CI bench smoke job runs the benchmarks but asserts only the
-// alloc figures).
+// criterion: core vs fastpath on the hot single-packet path, measured
+// with testing.Benchmark in alternating rounds, and gated on the median
+// of the per-round ratios. One round of each sat on the threshold: this
+// host's speed drifts by a fifth from second to second, and a ratio of
+// two readings taken seconds apart drifts with it; a round measures the
+// two sides back to back, and the median drops the rounds a neighbour
+// disturbed. Every round is logged, so a change's effect on Process can
+// be read off the test. Skipped in -short runs (the CI bench smoke job
+// runs the benchmarks but asserts only the alloc figures).
 func TestFastpathSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock ratio needs a quiet machine")
@@ -172,35 +189,42 @@ func TestFastpathSpeedup(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts the wall-clock ratio")
 	}
-	routers := synth.PaperRouters(1999, 0.25)
-	p := &pairFixture{sender: routers["AT&T-1"], receiver: routers["AT&T-2"]}
-	p.st, p.rt = p.sender.Trie(), p.receiver.Trie()
-	w := synth.NewWorkload(17, p.sender)
-	for len(p.dests) < 8192 {
-		d := w.Next()
-		if bmp, _, ok := p.st.Lookup(d, nil); ok {
-			p.dests = append(p.dests, d)
-			p.clues = append(p.clues, bmp.Clue())
-		}
-	}
+	p := benchPair(t)
 	tab := newTable(t, p, core.Advance, lookup.NewRegular(p.rt), false)
 	snap := fastpath.Compile(tab)
-	coreRes := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			j := i % len(p.dests)
-			tab.Process(p.dests[j], p.clues[j], nil)
+	nsPerOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
+	coreOnce := func() float64 {
+		return nsPerOp(testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				j := i % len(p.dests)
+				tab.Process(p.dests[j], p.clues[j], nil)
+			}
+		}))
+	}
+	fastOnce := func() float64 {
+		return nsPerOp(testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				j := i % len(p.dests)
+				snap.Process(p.dests[j], p.clues[j], nil)
+			}
+		}))
+	}
+	const rounds = 7
+	var ratios []float64
+	for round := 0; round < rounds; round++ {
+		var coreNs, fastNs float64
+		if round%2 == 0 {
+			coreNs, fastNs = coreOnce(), fastOnce()
+		} else {
+			fastNs, coreNs = fastOnce(), coreOnce()
 		}
-	})
-	fastRes := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			j := i % len(p.dests)
-			snap.Process(p.dests[j], p.clues[j], nil)
-		}
-	})
-	speedup := float64(coreRes.NsPerOp()) / float64(fastRes.NsPerOp())
-	t.Logf("core %d ns/op, fastpath %d ns/op, speedup %.1fx", coreRes.NsPerOp(), fastRes.NsPerOp(), speedup)
-	if speedup < 5 {
-		t.Errorf("fastpath speedup %.1fx, want >= 5x (core %d ns/op, fastpath %d ns/op)",
-			speedup, coreRes.NsPerOp(), fastRes.NsPerOp())
+		ratios = append(ratios, coreNs/fastNs)
+		t.Logf("round %d: core %.1f ns/op, fastpath %.1f ns/op, speedup %.2fx", round, coreNs, fastNs, coreNs/fastNs)
+	}
+	sort.Float64s(ratios)
+	if median := ratios[rounds/2]; median < 5 {
+		t.Errorf("fastpath speedup %.2fx (median of %d rounds, %.2f–%.2f), want >= 5x", median, rounds, ratios[0], ratios[rounds-1])
+	} else {
+		t.Logf("fastpath speedup %.2fx (median of %d rounds, %.2f–%.2f)", median, rounds, ratios[0], ratios[rounds-1])
 	}
 }

@@ -105,6 +105,16 @@ func newTable(tb testing.TB, p *pairFixture, m core.Method, e lookup.ClueEngine,
 	return tab
 }
 
+// requirePairs fails unless the fixture compiled entries that keep both
+// trie handles in the side array (Verify on a marked clue with a
+// restricted search behind it) — or none at all without Verify.
+func requirePairs(tb testing.TB, snap *fastpath.Snapshot, verify bool) {
+	tb.Helper()
+	if n, records := snap.PairStats(); (n > 0) != verify || records != n {
+		tb.Fatalf("verify=%v: %d entries in the side array, %d records", verify, n, records)
+	}
+}
+
 // checkPacket processes one packet through both implementations and
 // fails on any divergence: outcome, prefix, value, OK, Degraded, refs.
 func checkPacket(tb testing.TB, label string, want func(ip.Addr, int, *mem.Counter) core.Result,
@@ -154,6 +164,7 @@ func TestDifferentialEngines(t *testing.T) {
 						if snap.Len() != tab.Len() {
 							t.Fatalf("snapshot has %d entries, table %d", snap.Len(), tab.Len())
 						}
+						requirePairs(t, snap, verify)
 						for i := range p.dests {
 							checkPacket(t, name, tab.Process, snap.Process, p.dests[i], p.clues[i])
 						}
@@ -214,6 +225,8 @@ func TestDifferentialCompressed(t *testing.T) {
 						if (e.Name() == "Regular" || verify) != comp.Compressed() {
 							t.Fatalf("compressed=%v for engine %s verify=%v", comp.Compressed(), e.Name(), verify)
 						}
+						requirePairs(t, flat, verify)
+						requirePairs(t, comp, verify)
 						for i := range p.dests {
 							d, c := p.dests[i], p.clues[i]
 							var cw, cf, cg mem.Counter

@@ -11,7 +11,7 @@ const BatchLanes = batchLanes
 // vertex (a cBoundary handle), the one start the walk cursor treats
 // apart.
 func (s *Snapshot) BoundaryStart(dest ip.Addr, clueLen int) bool {
-	if !s.compressed || clueLen < 0 || clueLen > s.width || s.lens[clueLen].size == 0 {
+	if !s.compressed || clueLen < 0 || clueLen > s.width || s.lens[clueLen].nb == 0 {
 		return false
 	}
 	lt := &s.lens[clueLen]
@@ -20,6 +20,28 @@ func (s *Snapshot) BoundaryStart(dest ip.Addr, clueLen int) bool {
 	if sl.flags&slotUsed == 0 {
 		return false
 	}
-	return (s.verify && sl.sender >= 0 && uint32(sl.sender)&cBoundary != 0) ||
-		(s.flat && sl.flags&slotFinal == 0 && uint32(sl.resume)&cBoundary != 0)
+	return (sl.flags&slotSenderMarked != 0 && uint32(s.senderAt(sl))&cBoundary != 0) ||
+		(s.flat && sl.flags&slotFinal == 0 && uint32(s.resumeAt(sl))&cBoundary != 0)
 }
+
+// PairStats returns how many entries keep both trie handles in the side
+// array — marked sender vertices with a restricted search behind them —
+// and how many records the array holds, live and abandoned.
+func (s *Snapshot) PairStats() (entries, records int) {
+	for l := range s.lens {
+		lt := &s.lens[l]
+		for i := uint32(0); i < lt.cells(); i += lt.stride {
+			if sl := lt.at(i); sl.flags&(slotUsed|slotPair) == slotUsed|slotPair {
+				entries++
+			}
+		}
+	}
+	return entries, len(s.pairs)
+}
+
+// The fill band of a row big enough to be paged; TestSlotBudget holds
+// whole tables to it.
+const (
+	FillGrowTo = fillGrowTo
+	FillGrowAt = fillGrowAt
+)

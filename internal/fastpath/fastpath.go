@@ -5,21 +5,26 @@
 // memory-reference cost model rather than replacing it.
 //
 // The compiled form is a clue-length-indexed jump table: for each clue
-// length L in [0, W] an open-addressed, power-of-two hash table over the
-// first L bits of the destination, with each 32-byte slot holding the
-// clue key, the inlined FD field (as a prefix LENGTH — the FD prefix is
-// always an ancestor of the clue, hence a prefix of the destination, so
-// it is reconstructed from the packet in registers), the §3.4 validity
-// mark, the Claim-1 finality bit, and the restricted-search start point.
-// Two slots fill one 64-byte cache line, the software analogue of the
-// paper's §3.5 "two clue records per SDRAM line" packing; the Advance
-// method's common case (a final entry, 95–99.5% of clues per §6) is one
-// hash probe and zero pointer dereferences. On a table too big for the
-// cache that probe is a miss, so ProcessBatch (batch.go) computes the
-// slot address of every packet in a lane group before it reads any of
-// them: the probes of a batch are independent loads and their misses
-// overlap. The walks that follow a probe on a compressed snapshot
-// advance the same way, one node per pass across the group.
+// length L in [0, W] an open-addressed hash table over the first L bits
+// of the destination, laid out in 64-byte, cache-line-aligned buckets.
+// A slot holds the clue key, the inlined FD field (as a prefix LENGTH —
+// the FD prefix is always an ancestor of the clue, hence a prefix of the
+// destination, so it is reconstructed from the packet in registers), the
+// §3.4 validity mark, the Claim-1 finality bit, and the one trie handle
+// the entry's packets need. An IPv4 slot is 16 bytes, four to a bucket;
+// an IPv6 slot carries a 128-bit key and is 32 bytes, two to a bucket —
+// the software analogue of the paper's §3.5 "two clue records per SDRAM
+// line" packing. Rows are sized by fill, not to a power of two: a row
+// big enough for its memory to matter is 75% full when compiled and a
+// key's probe starts at the first slot of its home bucket, so nine
+// probes in ten end in the line they start in. The Advance method's
+// common case (a final entry, 95–99.5% of clues per §6) is one hash
+// probe and zero pointer dereferences. On a table too big for the cache
+// that probe is a miss, so ProcessBatch (batch.go) computes the bucket
+// address of every packet in a lane group before it reads any of them:
+// the probes of a batch are independent loads and their misses overlap.
+// The walks that follow a probe on a compressed snapshot advance the
+// same way, one node per pass across the group.
 //
 // Restricted searches and full lookups come in two flavors:
 //
@@ -41,6 +46,8 @@
 package fastpath
 
 import (
+	"math"
+	"math/bits"
 	"unsafe"
 
 	"repro/internal/core"
@@ -50,134 +57,283 @@ import (
 	"repro/internal/telemetry"
 )
 
-// slot is one compiled clue entry: 32 bytes, two per cache line.
+// slot is one 16-byte cell of a bucket. In an IPv4 row a cell is a whole
+// compiled clue entry: the 32-bit key and the payload a packet that
+// found it needs. A 128-bit key cannot shrink, so an IPv6 entry takes
+// two adjacent cells of one bucket, 32 bytes: the same entry cell, its
+// key field holding address bits 0–31, then a tail cell whose key, value
+// and aux words hold bits 32–127 (keyTail) and whose flags stay zero.
+// Either way the payload has one shape, the key's first word is the
+// cell's first word, and the families differ only in the key compare and
+// in how many entries share a bucket (lenTable.stride).
+//
+// aux is the one trie handle the entry needs on the common path: the
+// clue's vertex in the sender trie when Verify walks from it (the clue
+// is a marked sender vertex), otherwise the restricted-search start of a
+// non-final entry (a trie index, or in delegate mode an index into
+// Snapshot.resumes). The few entries that need both — marked and
+// non-final under Verify, 1.5% of the 1M-prefix table — keep them in
+// Snapshot.pairs and set slotPair; aux then indexes that array.
 type slot struct {
-	keyHi, keyLo uint64 // canonical clue bits (dest masked to the table's length)
-	value        int32  // FD payload (next-hop ID) when fdLen >= 0
-	resume       int32  // restricted-search start: flat-trie index or resumes[] index; unused when final
-	sender       int32  // clue vertex in the flat sender trie (Verify), -1 when absent
-	fdLen        int16  // FD prefix length; -1 when the FD is "no match"
-	flags        uint8
-	_            uint8
+	key   uint32 // clue bits 0–31 (dest masked to the row's length): all of an IPv4 key
+	value int32  // FD payload (next-hop ID) when fdLen != noFD
+	aux   int32  // sender or resume handle, or with slotPair an index into Snapshot.pairs; -1 when the entry needs none
+	fdLen uint8  // FD prefix length (0–128); noFD when the FD is "no match"
+	flags uint8
+	_     uint16
 }
+
+// noFD in slot.fdLen marks an entry whose FD is "no match".
+const noFD = 0xFF
 
 // slot flags.
 const (
-	slotUsed         uint8 = 1 << 0 // the slot holds an entry (open addressing)
+	slotUsed         uint8 = 1 << 0 // the cell holds an entry (open addressing)
 	slotValid        uint8 = 1 << 1 // §3.4 validity mark
 	slotFinal        uint8 = 1 << 2 // Ptr = Empty: the FD decides without a search
 	slotSenderMarked uint8 = 1 << 3 // the clue is a marked sender vertex (Verify)
+	slotPair         uint8 = 1 << 4 // aux indexes Snapshot.pairs
 )
 
-// Slot pages: the big-row copy-on-write unit, sized like the ctrie's
-// node pages — 128 slots × 32 bytes = 4KiB. A patch clones only the
-// pages it writes; at modern scale a length row holds hundreds of
-// thousands of slots, and cloning it whole per Apply batch used to
-// dominate update visibility. Rows at or below flatRowMax stay one
-// contiguous array: the whole-row clone is at most 256KiB there (cheap
-// next to a page table walk), and the forwarding probe keeps the
-// single-load indexing the ≥5× speedup gate is measured on.
-const (
-	spageShift = 7
-	spageSize  = 1 << spageShift
-	spageMask  = spageSize - 1
-	flatRowMax = 1 << 13
-)
+// auxPair is the side record of an entry that needs both trie handles.
+type auxPair struct{ resume, sender int32 }
 
-// spage is one fixed-size slot page; big rows hold pointers to these so
-// the in-page index needs no bounds check and a COW clone is one struct
-// copy.
-type spage [spageSize]slot
-
-// lenTable is the jump-table row for one clue length: an open-addressed,
-// power-of-two slot array (size 0 when the table holds no clue of this
-// length — a guaranteed miss). Small rows (size ≤ flatRowMax) live in
-// flat; larger rows are chunked into fixed 4KiB pages, with
-// `i>>spageShift` picking the page and `i&spageMask` the slot within
-// it. Exactly one of flat/pages is non-nil for a non-empty row; size >
-// flatRowMax is always a multiple of spageSize.
-type lenTable struct {
-	flat  []slot
-	pages []*spage
-	size  int
-	used  int
+// entryCells returns how many cells an entry of family f takes: the
+// stride of every row of a snapshot of that family.
+func entryCells(f ip.Family) uint32 {
+	if f == ip.IPv6 {
+		return 2
+	}
+	return 1
 }
 
-// newRow allocates a row of the given power-of-two size: contiguous up
-// to flatRowMax, paged over one contiguous backing array above it
-// (compile-time locality); patches re-point individual pages at private
-// copies.
-func newRow(size int) lenTable {
-	lt := lenTable{size: size}
-	switch {
-	case size <= 0:
-	case size <= flatRowMax:
-		lt.flat = make([]slot, size)
+// keyTail is the cell behind an IPv6 entry: address bits 32–127.
+func keyTail(kh, kl uint64) slot {
+	return slot{key: uint32(kh), value: int32(kl >> 32), aux: int32(kl)}
+}
+
+// bucket is the probe unit: one 64-byte cache line of four cells — four
+// IPv4 entries or two IPv6 ones. A key's probe starts at the first cell
+// of its home bucket, so the common lookup touches one line, and stage 1
+// of ProcessBatch reads exactly that cell's first word.
+//
+//cluevet:padded
+type bucket struct{ s [bucketSlots]slot }
+
+const (
+	bucketSlots = 4
+	// The size and the offset stage 1 relies on, pinned at compile time.
+	_ = uint(64 - unsafe.Sizeof(bucket{}))
+	_ = uint(unsafe.Sizeof(bucket{}) - 64)
+	_ = uint(0 - unsafe.Offsetof(slot{}.key))
+)
+
+// Bucket pages: the big-row copy-on-write unit, sized like the ctrie's
+// node pages — 64 buckets = 4KiB. A patch clones only the pages it
+// writes; at modern scale a length row holds hundreds of thousands of
+// entries, and cloning it whole per Apply batch used to dominate update
+// visibility. Rows of at most flatRowMax buckets stay one contiguous
+// array: the whole-row clone is at most 64KiB there (cheap next to a
+// page table walk), and the forwarding probe keeps the single-load
+// indexing the ≥5× speedup gate is measured on.
+const (
+	bpageShift   = 6
+	bpageBuckets = 1 << bpageShift
+	flatRowMax   = 1 << 10
+)
+
+// bpage is one fixed-size bucket page; big rows hold pointers to these
+// so the in-page index needs no bounds check and a COW clone is one
+// struct copy.
+type bpage [bpageBuckets]bucket
+
+// Row fill, in entries per entry-sized slot. A row is compiled at
+// fillCompile; a patch that would push it past fillGrowAt rebuilds it at
+// fillGrowTo, so a row that keeps growing is rebuilt once per
+// fillGrowAt/fillGrowTo = 1.25× of growth, not once per burst. All are
+// below 1, which keeps a free cell in every row and so ends every probe.
+//
+// Chosen from the sweep recorded in EXPERIMENTS.md, "Slot diet". On the
+// 1M-prefix IPv4 table 0.75 leaves 87% of entries in their home line
+// and 5% more than one line away — shorter probes than the half-empty
+// power-of-two rows before it had — at 21.6 slot bytes an entry, 36 for
+// the whole snapshot; 0.875 saves 3 more and loses them in scans (80%
+// home, 11% far), 0.65 costs 3 and is no faster. fillGrowTo is the
+// lowest fill that keeps a freshly rebuilt IPv6 row under 48 bytes an
+// entry (TestSlotBudget).
+//
+// A row small enough to stay contiguous gets fillSmall of each fill —
+// half full when compiled. Under 64KiB there is no memory to win, and
+// below 0.6 the single-packet Process of a cache-resident table, which
+// the ≥5× gate measures, costs what it did on half-empty rows (16.7
+// ns); at 0.75 the one probe in eight that leaves its home line, mostly
+// mispredicted, adds 2.3 ns.
+const (
+	fillCompile = 0.75
+	fillGrowAt  = 0.85
+	fillGrowTo  = 0.68
+	fillSmall   = 2.0 / 3
+)
+
+// lenTable is the jump-table row for one clue length: an open-addressed
+// array of nb buckets (0 when the table holds no clue of this length — a
+// guaranteed miss). An entry lives in the first free stride-aligned cell
+// at or after the start of its home bucket, wrapping from the last
+// bucket to the first; rows never delete (§3.4), so a probe that reaches
+// a free cell has seen every place the key could be. nb is whatever the
+// fill asks for, not a power of two. Small rows (nb ≤ flatRowMax) live
+// in flat; larger rows are chunked into 4KiB pages, `b>>bpageShift`
+// picking the page, and are a whole number of pages. Exactly one of
+// flat/pages is non-nil for a non-empty row. Readers address buckets;
+// the writer addresses cells, cell i being s[i%bucketSlots] of bucket
+// i/bucketSlots.
+type lenTable struct {
+	flat   []bucket
+	pages  []*bpage
+	nb     uint32 // buckets
+	stride uint32 // cells per entry: 1 for IPv4, 2 for IPv6
+	used   int    // entries
+}
+
+// rowBuckets returns the buckets of a row that holds n entries of stride
+// cells each at the given fill: at fillSmall of it while that keeps the
+// row contiguous, else at the fill itself and in whole pages.
+func rowBuckets(n int, stride uint32, fill float64) uint32 {
+	perBucket := float64(bucketSlots/stride) * fill
+	if nb := uint32(math.Ceil(float64(n) / (perBucket * fillSmall))); nb <= flatRowMax {
+		return nb
+	}
+	nb := uint32(math.Ceil(float64(n) / perBucket))
+	if nb <= flatRowMax {
+		return flatRowMax
+	}
+	return (nb + bpageBuckets - 1) &^ (bpageBuckets - 1)
+}
+
+// newRow allocates a row of nb buckets: contiguous up to flatRowMax,
+// paged over one contiguous backing array above it (compile-time
+// locality); patches re-point individual pages at private copies. The
+// allocator's size classes put both on 64-byte boundaries, so a bucket
+// is a cache line (TestRowProperties checks).
+func newRow(nb, stride uint32) lenTable {
+	lt := lenTable{nb: nb, stride: stride}
+	switch backing := make([]bucket, nb); {
+	case nb == 0:
+	case nb <= flatRowMax:
+		lt.flat = backing
 	default:
-		lt.pages = make([]*spage, size>>spageShift)
-		backing := make([]slot, size)
+		lt.pages = make([]*bpage, nb>>bpageShift)
 		for i := range lt.pages {
-			lt.pages[i] = (*spage)(backing[i<<spageShift:])
+			lt.pages[i] = (*bpage)(backing[i<<bpageShift:])
 		}
 	}
 	return lt
 }
 
-// at returns the slot at logical index i.
-func (lt *lenTable) at(i uint32) *slot {
+// cells returns the row's size in cells.
+func (lt *lenTable) cells() uint32 { return lt.nb * bucketSlots }
+
+// bucket returns bucket b.
+func (lt *lenTable) bucket(b uint32) *bucket {
 	if lt.flat != nil {
-		return &lt.flat[i]
+		return &lt.flat[b]
 	}
-	return &lt.pages[i>>spageShift][i&spageMask]
+	return &lt.pages[b>>bpageShift][b%bpageBuckets]
 }
 
-// home returns the first slot index of key (kh, kl)'s probe chain. The
-// row must not be empty.
+// at returns cell i.
+func (lt *lenTable) at(i uint32) *slot {
+	return &lt.bucket(i / bucketSlots).s[i%bucketSlots]
+}
+
+// home returns key (kh, kl)'s home bucket, where its probe starts: the
+// hash scaled onto the row (multiply-shift: the high word of hash × nb,
+// no power of two needed). The row must not be empty.
 func (lt *lenTable) home(kh, kl uint64) uint32 {
-	return uint32(hashKey(kh, kl)) & uint32(lt.size-1)
+	b, _ := bits.Mul64(hashKey(kh, kl), uint64(lt.nb))
+	return uint32(b)
 }
 
-// find walks the probe chain from index i and returns the slot holding
-// key (kh, kl), or the free slot that ends the chain. It is the packet
-// path's probe and small enough to inline there.
-func (lt *lenTable) find(i uint32, kh, kl uint64) *slot {
-	for {
-		sl := lt.at(i)
-		if sl.flags&slotUsed == 0 || (sl.keyHi == kh && sl.keyLo == kl) {
-			return sl
+// b2u is a comparison as 0 or 1; it compiles to a flag set, not a branch.
+func b2u(b bool) uint32 {
+	var r uint32
+	if b {
+		r = 1
+	}
+	return r
+}
+
+// find is the packet path's probe: it walks the chain from b, the key's
+// home bucket, and returns the cell holding key (kh, kl), or a free cell
+// of the bucket that ends the chain. (An IPv6 row, two entries to a
+// bucket, takes the writer's loop.)
+//
+// A bucket is compared whole and without branching: m gets a bit per
+// cell whose key is k. Which of a line's cells holds the key is a coin
+// the branch predictor loses, and one lost toss costs more than the four
+// compares; whether the key is in its home line at all is a bet it wins
+// nine times in ten. The lowest bit of m is the key's cell: more than
+// one is set only when k is zero, which every free cell "holds" too, and
+// the lowest is then the entry if the bucket has it (entries fill a
+// bucket in order, free cells last) and otherwise a free cell, which
+// ends the probe either way.
+func (lt *lenTable) find(b uint32, kh, kl uint64) *slot {
+	if lt.stride != 1 {
+		return lt.at(lt.scan(b, kh, kl))
+	}
+	for k := uint32(kh >> 32); ; {
+		bk := lt.bucket(b)
+		if m := b2u(bk.s[0].key == k) + b2u(bk.s[1].key == k)*2 + b2u(bk.s[2].key == k)*4 + b2u(bk.s[3].key == k)*8; m != 0 {
+			return &bk.s[bits.TrailingZeros32(m)%bucketSlots]
 		}
-		i = (i + 1) & uint32(lt.size-1)
+		if last := &bk.s[bucketSlots-1]; last.flags&slotUsed == 0 {
+			return last
+		}
+		if b++; b == lt.nb {
+			b = 0
+		}
 	}
 }
 
-// locate probes for key (kh, kl) and returns the index of its slot —
-// the matching used slot, or the first free slot of its chain.
-func (lt *lenTable) locate(kh, kl uint64) uint32 {
-	mask := uint32(lt.size - 1)
-	i := lt.home(kh, kl)
-	for {
+// locate returns the index of the cell holding key (kh, kl), or of the
+// first free cell of its chain, where it belongs.
+func (lt *lenTable) locate(kh, kl uint64) uint32 { return lt.scan(lt.home(kh, kl), kh, kl) }
+
+// scan is locate from b, the key's home bucket: the writer's probe, one
+// cell at a time.
+func (lt *lenTable) scan(b uint32, kh, kl uint64) uint32 {
+	k, t := uint32(kh>>32), keyTail(kh, kl)
+	for i := b * bucketSlots; ; {
 		sl := lt.at(i)
-		if sl.flags&slotUsed == 0 || (sl.keyHi == kh && sl.keyLo == kl) {
+		if sl.flags&slotUsed == 0 || (sl.key == k && (lt.stride == 1 || *lt.at(i + 1) == t)) {
 			return i
 		}
-		i = (i + 1) & mask
+		if i += lt.stride; i == lt.cells() {
+			i = 0
+		}
 	}
 }
 
-// insert places sl by linear probing, replacing an existing slot with
-// the same key. The row must be privately owned (compile or growth
-// rebuild); the patch path goes through locate so it can privatize the
-// one page it writes.
-func (lt *lenTable) insert(sl slot) {
-	*lt.at(lt.locate(sl.keyHi, sl.keyLo)) = sl
+// put writes entry sl, whose key is (kh, kl), at cell i and in an IPv6
+// row the key's tail behind it. The cells must be privately owned:
+// compile and growth rebuilds own the whole row, the patch path
+// privatizes the page holding i first.
+func (lt *lenTable) put(i uint32, sl slot, kh, kl uint64) {
+	*lt.at(i) = sl
+	if lt.stride == 2 {
+		*lt.at(i + 1) = keyTail(kh, kl)
+	}
 }
 
-// probe reports whether key (kh, kl) is present.
-func (lt *lenTable) probe(kh, kl uint64) bool {
-	if lt.size == 0 {
-		return false
+// keyAt returns the key of the entry at cell i.
+func (lt *lenTable) keyAt(i uint32) (kh, kl uint64) {
+	kh = uint64(lt.at(i).key) << 32
+	if lt.stride == 2 {
+		t := lt.at(i + 1)
+		kh |= uint64(t.key)
+		kl = uint64(uint32(t.value))<<32 | uint64(uint32(t.aux))
 	}
-	return lt.find(lt.home(kh, kl), kh, kl).flags&slotUsed != 0
+	return kh, kl
 }
 
 // maskHi/maskLo clear every destination bit past a clue length, turning
@@ -208,16 +364,15 @@ func clueKey(dest ip.Addr, clueLen int) (kh, kl uint64) {
 	return hi & maskHi[uint8(clueLen)], lo & maskLo[uint8(clueLen)]
 }
 
-// hashKey mixes the two key words (murmur3 finalizer over a golden-ratio
-// fold); open addressing with a 50% max load factor keeps probe chains
-// short.
+// hashKey mixes the two key words: the murmur3 finalizer over a golden-
+// ratio fold, less its last xor-shift, which only feeds the low bits —
+// lenTable.home scales the hash onto the row by its high word.
 func hashKey(hi, lo uint64) uint64 {
 	x := hi ^ (lo * 0x9E3779B97F4A7C15)
 	x ^= x >> 33
 	x *= 0xFF51AFD7ED558CCD
 	x ^= x >> 29
 	x *= 0xC4CEB9FE1A85EC53
-	x ^= x >> 32
 	return x
 }
 
@@ -236,8 +391,16 @@ type Snapshot struct {
 	csender    ctrie
 	engine     lookup.Engine
 	resumes    []lookup.Resume // delegate mode: per-entry compiled restricted searches
-	entries    int
-	tel        *telemetry.PacketMetrics // inherited from the master table at Compile
+	// pairs holds both trie handles of the entries that need both
+	// (slotPair). It is append-only and its backing is shared down a
+	// chain of patched snapshots: a patch writes only past the length
+	// every published snapshot reads, and an entry whose handles did not
+	// change keeps its pair. pairsDead counts the records no slot points
+	// at any more, for the compaction trigger.
+	pairs     []auxPair
+	pairsDead int
+	entries   int
+	tel       *telemetry.PacketMetrics // inherited from the master table at Compile
 }
 
 // Layout selects the trie representation a snapshot compiles to.
@@ -335,9 +498,10 @@ func compileExported(cfg core.Config, entries []core.ExportedEntry, tel *telemet
 		if len(es) == 0 {
 			continue
 		}
-		lt := newRow(tableSize(len(es)))
+		lt := newRow(rowBuckets(len(es), entryCells(s.fam), fillCompile), entryCells(s.fam))
 		for _, e := range es {
-			lt.insert(s.compileSlot(e))
+			kh, kl := e.Clue.Addr().Halves()
+			lt.put(lt.locate(kh, kl), s.compileSlot(e, slot{}), kh, kl)
 		}
 		lt.used = len(es)
 		s.lens[l] = lt
@@ -346,64 +510,94 @@ func compileExported(cfg core.Config, entries []core.ExportedEntry, tel *telemet
 	return s
 }
 
-// tableSize returns the power-of-two capacity for n entries at a max load
-// factor of 1/2.
-func tableSize(n int) int {
-	size := 2
-	for size < 2*n {
-		size <<= 1
-	}
-	return size
-}
-
 // compileSlot flattens one exported entry, appending to s.resumes in
-// delegate mode. It runs only on snapshots still under construction
-// (Compile builds them, patch calls it on the fresh copy after
-// replacing the resumes backing), never on a published one.
+// delegate mode and to s.pairs when the entry needs both trie handles.
+// old is the cell the entry replaces (zero when it is new): an entry
+// whose handles did not change keeps old's pair, so flipping one entry's
+// validity any number of times grows nothing. It runs only on snapshots
+// still under construction (Compile builds them, patch calls it on the
+// fresh copy), never on a published one.
 //
 //cluevet:ctor
-func (s *Snapshot) compileSlot(e core.ExportedEntry) slot {
-	kh, kl := e.Clue.Addr().Halves()
-	sl := slot{keyHi: kh, keyLo: kl, resume: -1, sender: -1, fdLen: -1, flags: slotUsed}
+func (s *Snapshot) compileSlot(e core.ExportedEntry, old slot) slot {
+	kh, _ := e.Clue.Addr().Halves()
+	sl := slot{key: uint32(kh >> 32), aux: -1, fdLen: noFD, flags: slotUsed}
 	if e.Valid {
 		sl.flags |= slotValid
 	}
 	if e.FDOK {
-		sl.fdLen = int16(e.FDPrefix.Len())
+		sl.fdLen = uint8(e.FDPrefix.Len())
 		sl.value = int32(e.FDValue)
 	}
+	resume := int32(-1)
 	switch {
 	case e.Resume == nil:
-		sl.flags |= slotFinal
 	case s.flat:
 		// The Regular engine resumes at the clue vertex of the live trie;
 		// the flat walk starts at the same vertex of the compiled copy.
+		// A vertex that is gone leaves nothing below the clue to search.
 		if s.compressed {
-			sl.resume = s.clocal.find(e.Clue)
+			resume = s.clocal.find(e.Clue)
 		} else {
-			sl.resume = s.local.find(e.Clue)
-		}
-		if sl.resume < 0 {
-			sl.flags |= slotFinal // vertex gone: nothing below the clue anymore
+			resume = s.local.find(e.Clue)
 		}
 	default:
-		sl.resume = int32(len(s.resumes))
+		resume = int32(len(s.resumes))
 		s.resumes = append(s.resumes, e.Resume)
 	}
+	if resume < 0 {
+		sl.flags |= slotFinal
+	}
+	sender := int32(-1)
 	if s.verify {
+		marked := false
 		if s.compressed {
-			sl.sender = s.csender.find(e.Clue)
-			if s.csender.markedOf(sl.sender, e.Clue) {
-				sl.flags |= slotSenderMarked
-			}
+			sender = s.csender.find(e.Clue)
+			marked = s.csender.markedOf(sender, e.Clue)
+		} else if sender = s.sender.find(e.Clue); sender >= 0 {
+			marked = s.sender.node(uint32(sender)).meta&fMarked != 0
+		}
+		if marked {
+			sl.flags |= slotSenderMarked
 		} else {
-			sl.sender = s.sender.find(e.Clue)
-			if sl.sender >= 0 && s.sender.node(uint32(sl.sender)).meta&fMarked != 0 {
-				sl.flags |= slotSenderMarked
-			}
+			sender = -1 // an unmarked clue is refuted before any walk
 		}
 	}
+	switch {
+	case resume < 0:
+		sl.aux = sender
+	case sender < 0:
+		sl.aux = resume
+	default:
+		sl.flags |= slotPair
+		if pair := (auxPair{resume, sender}); old.flags&slotPair == 0 || s.pairs[old.aux] != pair {
+			sl.aux = int32(len(s.pairs))
+			s.pairs = append(s.pairs, pair)
+			break
+		}
+		sl.aux = old.aux
+		return sl
+	}
+	if old.flags&slotPair != 0 {
+		s.pairsDead++ // old's record is abandoned
+	}
 	return sl
+}
+
+// resumeAt returns the restricted-search start of a non-final entry.
+func (s *Snapshot) resumeAt(sl *slot) int32 {
+	if sl.flags&slotPair != 0 {
+		return s.pairs[sl.aux].resume
+	}
+	return sl.aux
+}
+
+// senderAt returns the sender-trie vertex of a marked clue's entry.
+func (s *Snapshot) senderAt(sl *slot) int32 {
+	if sl.flags&slotPair != 0 {
+		return s.pairs[sl.aux].sender
+	}
+	return sl.aux
 }
 
 // Width returns the address width of the snapshot's family.
@@ -435,7 +629,8 @@ func (s *Snapshot) Compressed() bool { return s.compressed }
 type MemStats struct {
 	Compressed      bool
 	Entries         int // compiled clue entries across all slot tables
-	SlotBytes       int // open-addressed clue slot tables (32 B/slot, all lengths)
+	SlotCapacity    int // entries the allocated buckets can hold (16 B each for IPv4, 32 B for IPv6); fill = Entries/SlotCapacity
+	SlotBytes       int // clue slot tables: every row's buckets and page table, plus the handle-pair side array (live and dead)
 	LocalTrieBytes  int // local trie index: flat pages or packed multibit nodes
 	SenderTrieBytes int // sender trie index (Verify), same representation
 	DictBytes       int // compressed value arrays + next-hop dictionary
@@ -461,8 +656,10 @@ func (m MemStats) TotalBytes() int {
 // published snapshot.
 func (s *Snapshot) MemStats() MemStats {
 	m := MemStats{Compressed: s.compressed, Entries: s.entries}
+	m.SlotBytes = len(s.pairs) * int(unsafe.Sizeof(auxPair{}))
 	for _, lt := range s.lens {
-		m.SlotBytes += lt.size*int(unsafe.Sizeof(slot{})) + len(lt.pages)*8 // slots plus the page table
+		m.SlotCapacity += int(lt.cells() / entryCells(s.fam))
+		m.SlotBytes += int(lt.nb)*int(unsafe.Sizeof(bucket{})) + len(lt.pages)*8 // buckets plus the page table
 	}
 	m.ResumeBytes = len(s.resumes) * 16 // two words per lookup.Resume interface
 	if s.compressed {
@@ -502,7 +699,7 @@ func (s *Snapshot) Process(dest ip.Addr, clueLen int, cnt *mem.Counter) core.Res
 	cnt.Add(1) // the clue-table reference
 	kh, kl := clueKey(dest, clueLen)
 	lt := &s.lens[clueLen]
-	if lt.size == 0 {
+	if lt.nb == 0 {
 		return s.fullLookup(dest, cnt, core.OutcomeMiss, before)
 	}
 	sl := lt.find(lt.home(kh, kl), kh, kl)
@@ -515,7 +712,7 @@ func (s *Snapshot) Process(dest ip.Addr, clueLen int, cnt *mem.Counter) core.Res
 	// through the stack once more, which this path can measure.
 	if s.claim1(sl) {
 		s.record(core.OutcomeFD, cnt, before)
-		if sl.fdLen < 0 {
+		if sl.fdLen == noFD {
 			return core.Result{Outcome: core.OutcomeFD}
 		}
 		return core.Result{Prefix: ip.PrefixFrom(dest, int(sl.fdLen)), Value: int(sl.value), OK: true, Outcome: core.OutcomeFD}
@@ -539,7 +736,7 @@ func (s *Snapshot) claim1(sl *slot) bool {
 
 // fd is the slot's inlined FD field as a result with outcome o.
 func (sl *slot) fd(dest ip.Addr, o core.Outcome) core.Result {
-	if sl.fdLen < 0 {
+	if sl.fdLen == noFD {
 		return core.Result{Outcome: o}
 	}
 	return core.Result{Prefix: ip.PrefixFrom(dest, int(sl.fdLen)), Value: int(sl.value), OK: true, Outcome: o}
@@ -581,13 +778,13 @@ func (s *Snapshot) applyEntry(sl *slot, dest ip.Addr, clueLen int, cnt *mem.Coun
 		var l, v int32
 		var ok bool
 		if s.compressed {
-			l, v, ok = s.clocal.lookupFrom(uint32(sl.resume), clueLen, dest, cnt)
+			l, v, ok = s.clocal.lookupFrom(uint32(s.resumeAt(sl)), clueLen, dest, cnt)
 		} else {
-			l, v, ok = s.local.lookupFrom(uint32(sl.resume), clueLen, dest, cnt)
+			l, v, ok = s.local.lookupFrom(uint32(s.resumeAt(sl)), clueLen, dest, cnt)
 		}
 		return sl.searched(dest, l, v, ok)
 	}
-	if p, v, ok := s.resumes[sl.resume].Lookup(dest, cnt); ok {
+	if p, v, ok := s.resumes[s.resumeAt(sl)].Lookup(dest, cnt); ok {
 		return core.Result{Prefix: p, Value: v, OK: true, Outcome: core.OutcomeResumeHit}
 	}
 	return sl.fd(dest, core.OutcomeResumeFD)
@@ -616,9 +813,9 @@ func (s *Snapshot) refuted(sl *slot, dest ip.Addr, clueLen int, cnt *mem.Counter
 	var l int32
 	var ok bool
 	if s.compressed {
-		l, _, ok = s.csender.lookupFrom(uint32(sl.sender), clueLen, dest, cnt)
+		l, _, ok = s.csender.lookupFrom(uint32(s.senderAt(sl)), clueLen, dest, cnt)
 	} else {
-		l, _, ok = s.sender.lookupFrom(uint32(sl.sender), clueLen, dest, cnt)
+		l, _, ok = s.sender.lookupFrom(uint32(s.senderAt(sl)), clueLen, dest, cnt)
 	}
 	return ok && int(l) > clueLen
 }
@@ -683,40 +880,40 @@ func newPatchSession(n int) *patchSession {
 // construction whose lens/resumes backing has already been replaced.
 // The write is copy-on-write: a small (flat) row is cloned whole on
 // first touch; a big row clones its page table and then only the one
-// 4KiB page holding e's slot (tracked by ps), every other page staying
+// 4KiB page holding e's cells (tracked by ps), every other page staying
 // shared with the published snapshot. Rows never shrink, so the hash
 // layout stays stable for every untouched entry (mirroring §3.4's
 // "never remove clues" guidance) and only growth rehashes — a private
-// rebuild of the whole row, amortized by the power-of-two sizing.
+// rebuild of the whole row, amortized by the fillGrowAt/fillGrowTo gap.
 //
 //cluevet:ctor - operates on the fresh copy before publication
 func (ns *Snapshot) reslot(e core.ExportedEntry, ps *patchSession) {
 	l := e.Clue.Len()
 	lt := ns.lens[l]
 	kh, kl := e.Clue.Addr().Halves()
-	replacing := lt.probe(kh, kl)
+	stride := entryCells(ns.fam)
+	var i uint32
+	var old slot
+	if lt.nb != 0 {
+		i = lt.locate(kh, kl)
+		old = *lt.at(i)
+	}
+	replacing := old.flags&slotUsed != 0
 	used := lt.used
 	if !replacing {
 		used++
 	}
-	if size := tableSize(used); size > lt.size {
+	if rowBuckets(used, stride, fillGrowAt) > lt.nb {
 		// Growth: rebuild the row privately with a rehash (this is also
 		// where a row crosses flatRowMax and switches representation).
-		nr := newRow(size)
-		reinsert := func(sl *slot) {
-			if sl.flags&slotUsed != 0 && !(sl.keyHi == kh && sl.keyLo == kl) {
-				nr.insert(*sl)
+		nr := newRow(rowBuckets(used, stride, fillGrowTo), stride)
+		for j := uint32(0); j < lt.cells(); j += lt.stride {
+			if sl := lt.at(j); sl.flags&slotUsed != 0 {
+				okh, okl := lt.keyAt(j)
+				nr.put(nr.locate(okh, okl), *sl, okh, okl)
 			}
 		}
-		for j := range lt.flat {
-			reinsert(&lt.flat[j])
-		}
-		for _, pg := range lt.pages {
-			for j := range pg {
-				reinsert(&pg[j])
-			}
-		}
-		lt = nr
+		lt, i = nr, nr.locate(kh, kl)
 		ps.rows[l] = true
 		if lt.pages != nil {
 			ps.pages[l] = make([]bool, len(lt.pages))
@@ -728,21 +925,20 @@ func (ns *Snapshot) reslot(e core.ExportedEntry, ps *patchSession) {
 	if !ps.rows[l] {
 		ps.rows[l] = true
 		if lt.flat != nil {
-			lt.flat = append([]slot(nil), lt.flat...)
+			lt.flat = append([]bucket(nil), lt.flat...)
 		} else {
-			lt.pages = append([]*spage(nil), lt.pages...)
+			lt.pages = append([]*bpage(nil), lt.pages...)
 			ps.pages[l] = make([]bool, len(lt.pages))
 		}
 	}
-	i := lt.locate(kh, kl)
 	if lt.pages != nil {
-		if pg := i >> spageShift; !ps.pages[l][pg] {
+		if pg := i / bucketSlots >> bpageShift; !ps.pages[l][pg] {
 			cp := *lt.pages[pg]
 			lt.pages[pg] = &cp
 			ps.pages[l][pg] = true
 		}
 	}
-	*lt.at(i) = ns.compileSlot(e)
+	lt.put(i, ns.compileSlot(e, old), kh, kl)
 	lt.used = used
 	ns.lens[l] = lt
 	if !replacing {

@@ -228,3 +228,37 @@ func TestApplyCompaction(t *testing.T) {
 		t.Fatal("flaps never took the incremental path")
 	}
 }
+
+// TestPairGarbageCompacts pins the side array to the compaction policy:
+// handle pairs abandoned by relocations count as garbage, show in
+// MemStats, and past a quarter of the table make the next Apply fold
+// them away with a counted compacting recompile.
+func TestPairGarbageCompacts(t *testing.T) {
+	tab, _ := smallPair(t, false)
+	r := NewRCU(tab)
+	met := testMetrics(telemetry.NewRegistry())
+	r.SetMetrics(met)
+	op := []RouteOp{{Kind: OpAnnounce, Prefix: ip.MustParsePrefix("198.18.77.192/26"), Value: 9}}
+	r.Apply(op)
+	if met.Compactions.Value() != 0 {
+		t.Fatal("a clean table compacted")
+	}
+	// Stand in for a long run of relocations: a published snapshot whose
+	// side array is mostly abandoned records.
+	s := *r.Snapshot()
+	clean := s.MemStats().SlotBytes
+	s.pairs = append(s.pairs[:len(s.pairs):len(s.pairs)], make([]auxPair, s.entries)...)
+	s.pairsDead = s.entries
+	if got := s.MemStats().SlotBytes; got != clean+8*s.entries {
+		t.Fatalf("MemStats counts %d slot bytes with %d abandoned pairs, %d without", got, s.entries, clean)
+	}
+	r.snap.Store(&s)
+	op[0].Value = 10
+	r.Apply(op)
+	if met.Compactions.Value() != 1 {
+		t.Fatalf("%d compactions with %d of %d pairs abandoned, want 1", met.Compactions.Value(), s.pairsDead, len(s.pairs))
+	}
+	if got := r.Snapshot(); got.pairsDead != 0 || len(got.pairs) >= s.entries {
+		t.Fatalf("compaction left %d abandoned of %d pairs", got.pairsDead, len(got.pairs))
+	}
+}
